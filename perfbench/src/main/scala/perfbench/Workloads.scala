@@ -124,9 +124,9 @@ object Workload {
     Metric("alert_p95_s", Stats.quantile(latencies, 0.95), "s"),
   )
 
-  def tailNote(latencies: Seq[Double]): String = Stats.tail(latencies) match {
-    case Some(t) => f"alert tail: p${t.percentile}%.1f = ${t.value}%.4f s over ${t.samples} alerts (${t.beyond} beyond it)"
-    case None    => s"alert tail: fewer than 10 of ${latencies.size} alerts beyond any percentile"
+  def tailNote(latencies: Seq[Double], samples: String): String = Stats.tail(latencies) match {
+    case Some(t) => f"alert tail: p${t.percentile}%.1f = ${t.value}%.4f s over ${t.samples} $samples (${t.beyond} beyond it)"
+    case None    => s"alert tail: fewer than 10 of ${latencies.size} $samples beyond any percentile"
   }
 }
 
@@ -138,13 +138,13 @@ object BatchUnstable extends Workload {
   val why  = "10% of lines take the semantic fallback and reports are 5x the clean rate; " +
              "no JSON payloads, so pre-extraction is bypassed"
 
-  val Shape = Corpus.Shape(sessions = 25000, anomalyRate = 0.03, payloadProb = 0.0, instability = 0.2)
+  val Shape = Corpus.Shape(sessions = 15000, anomalyRate = 0.03, payloadProb = 0.0, instability = 0.2)
   /** Enough sessions for 200 reports at this shape's report rate. */
   val Feedback = Shape.copy(sessions = 2000)
   /** Untimed calls for this long (at least two) before the timed ones: the
     * JIT keeps compiling through the first several calls.
     */
-  val WarmupS = 3.0
+  val WarmupS = 5.0
   /** The traced run's short open-loop stream over this corpus: warm-up and
     * window, in seconds.
     */
@@ -183,8 +183,9 @@ object BatchUnstable extends Workload {
     val oracle  = Reference.oracleEventCounts(spark, reports, p.corpus.raw)
     attempted += 1; if (oracle.isDefined) failed += 1
 
-    // every report of a call is emitted when the call returns; its lines were all due at the call's start
-    val latencies = times.toSeq.flatMap(s => Seq.fill(reports.size)(s))
+    // every report of a call is emitted when the call returns and its lines
+    // were all due at the call's start: one latency sample per call
+    val latencies = times.toSeq
     val linesPerS = p.corpus.nLines / Stats.median(times.toSeq)
     val endToEnd = Seq(Metric("setup_s", Stats.median(p.setupS), "s")) ++ alerts(latencies) ++
       quality(p, reports, p.corpus.labels.keySet)
@@ -201,7 +202,7 @@ object BatchUnstable extends Workload {
       }
     val notes = Seq(
       f"lines_per_s = $linesPerS%.1f lines/s (${p.corpus.nLines} lines, median of ${times.size} calls: ${times.map(t => f"$t%.3f").mkString(", ")} s)",
-      tailNote(latencies),
+      tailNote(latencies, "calls"),
       f"failed_frac = ${failed.toDouble / attempted}%.6f ($failed of $attempted checked session windows and oracle checks)",
       s"reports per call = ${reports.size}",
     ) ++ oracle.map(m => s"DuckDB event-count check FAILED: $m") ++ examples.distinct.take(3).map("check: " + _)
@@ -222,19 +223,33 @@ object Stream extends Workload {
              "dominate; payloads are pre-extracted, the fallback is bypassed"
 
   /** Offered rate (lines/s): today's code keeps a flat backlog at it. */
-  val Rate = 1000.0
+  val Rate = 300.0
   /** Lines due in the first seconds warm the query up and are not timed:
-    * micro-batches take until about then to settle (the JIT, state stores).
+    * micro-batches keep getting faster for about this long (the JIT).
     */
-  val WarmupS = 6.0
-  /** Clean payload corpus; the anomaly rate gives 200+ alerts in an 8 s
-    * window, and the corpus covers the warm-up, a 20 s window and the tail.
+  val WarmupS = 10.0
+  /** Clean payload corpus; the anomaly rate gives 250+ alerts in a 12 s
+    * window at this rate.
     */
-  val Shape = Corpus.Shape(sessions = 8000, anomalyRate = 0.2, payloadProb = 0.7)
-  val Feedback = Shape.copy(sessions = 2000)
+  val AnomalyRate = 0.4
+  /** Seconds of lines beyond the window, for the tail that waits for the
+    * watermark to close the measured sessions (about 2.5 micro-batches; ten
+    * times that on a busy host).
+    */
+  val TailS = 40.0
+
+  /** Enough sessions (at least 5 lines each) for the warm-up, the window
+    * and the tail at the offered rate.
+    */
+  def shape(seconds: Int): Corpus.Shape =
+    Corpus.Shape(sessions = math.ceil(Rate * (WarmupS + seconds + TailS) / 5).toLong,
+                 anomalyRate = AnomalyRate, payloadProb = 0.7)
+  /** Enough sessions for 200 reports at this anomaly rate. */
+  val FeedbackSessions = 1000L
 
   def run(ctx: Ctx): Outcome = {
-    val p = setUp(ctx, Shape, Feedback)
+    val shape = this.shape(ctx.seconds)
+    val p = setUp(ctx, shape, shape.copy(sessions = FeedbackSessions))
     val spark = p.spark
     val expected = ctx.trace.span("bench.reference")(Reference.expected(p.models, p.classifier, p.corpus.lines.toSeq))
     val r = ctx.trace.span("bench.stream")(StreamRun.run(spark, p.models, p.classifier, p.corpus.lines.toSeq,
@@ -262,15 +277,17 @@ object Stream extends Workload {
       f"gen_late_p95_ms = $late%.3f ms",
       f"backlog: max ${if (r.backlog.isEmpty) 0.0 else r.backlog.map(_._2).max}%.0f lines, slope ${Stats.slope(r.settled)}%.1f lines/s over ${r.settled.size} micro-batch commits",
       s"alerts timed = ${r.latenciesS.size} (sessions due in the window: ${r.measuredSessions.size})",
-      tailNote(r.latenciesS),
+      tailNote(r.latenciesS, "alerts"),
       f"failed_frac = ${failed.toDouble / attempted}%.6f ($failed of $attempted closed session windows and oracle checks)",
+      "micro-batches (id: ms, input rows, state commit ms): " + r.batches.map(b =>
+        s"${b.id}: ${b.durationMs.getOrElse("triggerExecution", 0L)}/${b.inputRows}/${b.stateCommitMs}").mkString(", "),
       f"micro-batches = ${r.batches.size} (median ${Stats.median(r.batches.map(_.durationMs.getOrElse("triggerExecution", 0L).toDouble))}%.0f ms), closed session windows = ${r.closedKeys.size}",
     ) ++ oracle.map(m => s"DuckDB event-count check FAILED: $m") ++ chk.examples.map("check: " + _)
     require(r.latenciesS.size >= 200, s"only ${r.latenciesS.size} alerts timed; p95 needs 200")
     p.release()
     Outcome(endToEnd, perLayer, attempted, failed, configOf(p) ++ Seq(
       "offered_rate_lines_per_s" -> Rate, "tick_ms" -> StreamRun.TickMs, "warmup_s" -> WarmupS,
-      "payload_prob" -> Shape.payloadProb, "anomaly_rate" -> Shape.anomalyRate,
-      "feedback_sessions" -> Feedback.sessions, "alerts_timed" -> r.latenciesS.size), notes)
+      "payload_prob" -> shape.payloadProb, "anomaly_rate" -> shape.anomalyRate,
+      "feedback_sessions" -> FeedbackSessions, "alerts_timed" -> r.latenciesS.size), notes)
   }
 }
