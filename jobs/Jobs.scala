@@ -2,13 +2,9 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.tables._
+import repro.tables.Tables
 
-/** Shared builder for the per-table spark-submit entrypoints.
-  *
-  * Usage: `spark-submit --class repro.jobs.T1Job repro-jobs.jar [nSessions]`
-  * — every job prints its reproduced table to stdout.
-  */
+/** Shared Spark session builder for the spark-submit entrypoints. */
 object Jobs {
   def session(name: String): SparkSession =
     SparkSession.builder
@@ -23,78 +19,18 @@ object Jobs {
     if (args.length > idx) args(idx).toLong else default
 }
 
-/** T1 — detector comparison, anomaly-free training (§III plan 1). */
-object T1Job {
+/** Prints one reproduced table to stdout.
+  *
+  * Usage: `spark-submit --class repro.jobs.TableJob repro-jobs.jar <T1..T8> [nSessions]`
+  */
+object TableJob {
   def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T1")
-    println(T1DetectorComparison.render(
-      T1DetectorComparison.run(spark, Jobs.arg(args, 0, 20000))))
-    spark.stop()
-  }
-}
-
-/** T2 — multi-source mixing (§III plan 3). */
-object T2Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T2")
-    println(T2MultiSource.render(T2MultiSource.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
-
-/** T3 — instability robustness (§III plan 2). */
-object T3Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T3")
-    println(T3Instability.render(T3Instability.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
-
-/** T4 — online parser benchmark and Drain sensitivity (§IV). */
-object T4Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T4")
-    val n = Jobs.arg(args, 0, 2000)
-    println(T4ParserBenchTable.renderA(T4ParserBenchTable.runA(spark, n)))
-    println()
-    println(T4ParserBenchTable.renderB(T4ParserBenchTable.runB(spark, n)))
-    spark.stop()
-  }
-}
-
-/** T5 — structured-payload pre-extraction (§IV). */
-object T5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T5")
-    println(T5PreExtraction.render(T5PreExtraction.run(spark, Jobs.arg(args, 0, 2000))))
-    spark.stop()
-  }
-}
-
-/** T6 — quantitative detection vs token accuracy (§IV Eq. 1). */
-object T6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T6")
-    println(T6QuantDetection.render(T6QuantDetection.run(spark, Jobs.arg(args, 0, 8000))))
-    spark.stop()
-  }
-}
-
-/** T7 — feedback-trained classifier (§V). */
-object T7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T7")
-    println(T7Classifier.render(T7Classifier.run(spark, Jobs.arg(args, 0, 20000))))
-    spark.stop()
-  }
-}
-
-/** T8 — scalability of distributed parsing and the end-to-end pipeline. */
-object T8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = Jobs.session("monilog-T8")
-    println(T8Scalability.render(T8Scalability.run(spark, Jobs.arg(args, 0, 40000))))
+    val entry = args.headOption.flatMap(Tables.byName.get).getOrElse {
+      System.err.println(s"usage: TableJob <${Tables.byName.keys.toSeq.sorted.mkString("|")}> [nSessions]")
+      sys.exit(2)
+    }
+    val spark = Jobs.session(s"monilog-${args(0)}")
+    println(entry.render(spark, Jobs.arg(args, 1, entry.defaultSessions)))
     spark.stop()
   }
 }

@@ -5,8 +5,8 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.classify.PoolClassifier
-import repro.detect.{EventVectorizer, NGramModel, QuantDetector, SemanticMatcher}
-import repro.parse.{DistributedDrain, Drain, Preprocess, TemplateOps}
+import repro.detect.{NGramModel, QuantDetector, SemanticMatcher}
+import repro.parse.{DistributedDrain, Drain, Preprocess}
 import repro.stream.MoniLogPipeline
 import repro.stream.MoniLogPipeline.{Models, RawLog}
 
@@ -14,20 +14,21 @@ import repro.stream.MoniLogPipeline.{Models, RawLog}
   * the frozen model bundle the streaming pipeline broadcasts.
   *
   * Training is itself distributed (the paper's §II scalability
-  * requirement): templates are mined with [[DistributedDrain]]; the
-  * sequence and value models are fitted from the distributed assignment
-  * join; only the compact models live on the driver.
+  * requirement): templates are mined with [[DistributedDrain]] and frozen
+  * into a fresh [[Drain]]; the history then runs through the detection
+  * path's own parse and sequence stages, so the sequence and value models
+  * learn exactly the events and session windows detection will see. Only
+  * the compact models live on the driver.
   */
 object MoniLog {
 
-  final case class TrainConfig(
-      depth: Int = 4,
-      simThreshold: Double = 0.5,
-      ngramOrder: Int = 2,
-      topG: Int = 9,
-      zThreshold: Double = 6.0,
-      matcherTau: Double = 0.5,
-  )
+  // training hyper-parameters: Drain tree, n-gram top-g rule, value z-score, semantic matcher
+  val Depth        = 4
+  val SimThreshold = 0.5
+  val NGramOrder   = 2
+  val TopG         = 9
+  val ZThreshold   = 6.0
+  val MatcherTau   = 0.5
 
   /** Train the full model bundle from an anomaly-free history.
     *
@@ -35,8 +36,7 @@ object MoniLog {
     *                `message` (ground-truth columns, if present, are
     *                ignored — training is unsupervised)
     */
-  def train(spark: SparkSession, history: DataFrame,
-            cfg: TrainConfig = TrainConfig()): Models = {
+  def train(spark: SparkSession, history: DataFrame): Models = {
     import spark.implicits._
 
     // 1. mine templates distributively, over payload-stripped messages
@@ -46,62 +46,29 @@ object MoniLog {
     ).as[(Long, String)]
       .map { case (id, msg) => (id, Preprocess.extractStructured(msg)._1) }
       .toDF("lineId", "message")
-    val mined = DistributedDrain.parse(core, cfg.depth, cfg.simThreshold)
+    val mined = DistributedDrain.parse(core, Depth, SimThreshold)
+    mined.assignments.unpersist() // training reads only the merged templates
 
-    // 2. frozen matcher tree: replay merged templates into a fresh Drain.
-    // Replay may merge further (two mined templates can be mutually
-    // similar), so keep an explicit mined-id → frozen-id remap and apply
-    // it to the assignments before fitting any model.
-    val frozen = new Drain(cfg.depth, cfg.simThreshold)
-    val remap: Map[Int, Int] = mined.templates.toSeq.sortBy(_._1).map {
-      case (minedId, toks) => minedId -> frozen.parseTokens(toks)
-    }.toMap
+    // 2. frozen matcher tree: replay the merged templates into a fresh Drain
+    val frozen = new Drain(Depth, SimThreshold)
+    mined.templates.toSeq.sortBy(_._1).foreach { case (_, toks) => frozen.parseTokens(toks) }
     val templates = frozen.templates
-    val bRemap = spark.sparkContext.broadcast(remap)
-    val assignments = mined.assignments
-      .select(col("lineId").cast("long") as "lineId", col("templateId").cast("int") as "tid")
-      .as[(Long, Int)]
-      .map { case (lineId, tid) => (lineId, bRemap.value(tid)) }
-      .toDF("lineId", "templateId")
 
-    // 3. per-line structured events for model fitting
-    val bTemplates = spark.sparkContext.broadcast(templates)
-    val joined = history
-      .select(col("lineId").cast("long") as "lineId", col("ts"), col("source"),
-              col("sessionId"), col("message").cast("string") as "message")
-      .join(assignments, "lineId")
-    val events = joined
-      .select(col("ts"), col("source"), col("sessionId"), col("message"), col("templateId"))
-      .as[(java.sql.Timestamp, String, String, String, Int)]
-      .map { case (ts, source, sessionId, message, tid) =>
-        val toks = Preprocess.tokenize(Preprocess.extractStructured(message)._1)
-        val vars = bTemplates.value.get(tid).map(t => TemplateOps.extractVars(t, toks))
-          .getOrElse(Nil)
-        (ts, source, sessionId, tid, vars)
-      }
-      .toDF("ts", "source", "sessionId", "templateId", "vars")
-      .persist()
+    // 3. the detection path's parse and sequence stages over the history;
+    // parsing reads only the parser, matcher and templates, so the
+    // sequence and value models are fitted after the collect
+    val matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap, MatcherTau)
+    val parsing = Models(frozen, matcher, new NGramModel(NGramOrder, TopG),
+                         new QuantDetector(ZThreshold), templates, ZThreshold)
+    val raw = history.select(col("ts"), col("source"), col("sessionId"),
+                             col("message").cast("string") as "message").as[RawLog]
+    val rows = MoniLogPipeline.sequence(
+      MoniLogPipeline.parseStream(raw, broadcastModels(spark, parsing))).collect()
 
-    // 4. sequential model from per-session sequences
-    val sequences = EventVectorizer.bySession(
-      events.withColumn("lineId", monotonically_increasing_id())
-            .withColumn("sessionLabel", lit("normal")))
-      .collect().map(_.events)
-    val ngram = new NGramModel(cfg.ngramOrder, cfg.topG).fit(sequences.toSeq)
-
-    // 5. value models
-    val quant = new QuantDetector(cfg.zThreshold)
-    events.select(col("templateId"), col("vars")).as[(Int, Seq[String])]
-      .collect().foreach { case (tid, vars) => quant.observe(tid, vars) }
-    events.unpersist()
-
-    Models(
-      parser = frozen,
-      matcher = new SemanticMatcher(templates.view.mapValues(_.toSeq).toMap, cfg.matcherTau),
-      sequential = ngram,
-      quantitative = quant,
-      templates = templates,
-      zThreshold = cfg.zThreshold,
+    parsing.copy(
+      sequential = new NGramModel(NGramOrder, TopG).fit(rows.iterator.map(_.events.map(_.templateId))),
+      quantitative = new QuantDetector(ZThreshold).fit(
+        rows.iterator.flatMap(_.events.map(e => (e.templateId, e.vars)))),
     )
   }
 

@@ -25,7 +25,6 @@ class Drain(
     val depth: Int = 4,
     val simThreshold: Double = 0.4,
     val maxChildren: Int = 100,
-    val maskFirst: Boolean = false,
 ) extends Serializable {
 
   /** A leaf group: mined template plus its stable id. */
@@ -49,8 +48,7 @@ class Drain(
   def parse(message: String): Int = parseTokens(Preprocess.tokenize(message))
 
   /** Parse pre-tokenized input online. */
-  def parseTokens(raw: Vector[String]): Int = synchronized {
-    val tokens = if (maskFirst) Preprocess.mask(raw) else raw
+  def parseTokens(tokens: Vector[String]): Int = synchronized {
     val leaf   = descend(tokens, grow = true)
     bestGroup(leaf.groups, tokens) match {
       case Some(g) =>
@@ -71,8 +69,7 @@ class Drain(
     */
   def matchOnly(message: String): Option[Int] = matchTokens(Preprocess.tokenize(message))
 
-  def matchTokens(raw: Vector[String]): Option[Int] = synchronized {
-    val tokens = if (maskFirst) Preprocess.mask(raw) else raw
+  def matchTokens(tokens: Vector[String]): Option[Int] = synchronized {
     val leaf   = descend(tokens, grow = false)
     bestGroup(leaf.groups, tokens).map(_.id)
   }

@@ -4,11 +4,9 @@ package repro.parse
   *
   * Implements the paper's recommended preliminary step (§IV): extract
   * structured (JSON) data concatenated to the free text *before* parsing,
-  * which shortens messages and raises template-discovery rates. Also
-  * provides the optional regex masking step classic parsers use for
-  * common variables (IPs, numbers, ids) — kept separate so experiments
-  * can run parsers with and without human-crafted preprocessing, the
-  * automation limit the paper studies.
+  * which shortens messages and raises template-discovery rates. No
+  * human-crafted variable masking is applied: removing that expert step
+  * is the automation goal the paper sets.
   */
 object Preprocess {
 
@@ -38,17 +36,11 @@ object Preprocess {
   private val Ip     = """^/?\d{1,3}(\.\d{1,3}){3}(:\d+)?,?$""".r
   private val HexId  = """^(blk|vol|req|i)[-_][\w-]+$""".r
 
-  /** Does the token look like a variable? Used for Drain's digit-aware
-    * tree descent and for the optional masking preprocessing.
+  /** Does the token look like a variable (number, IP, id)? Used for
+    * Drain's digit-aware tree descent and by the semantic matcher.
     */
   def looksVariable(tok: String): Boolean = {
     val t = tok.stripSuffix(",")
     Num.matches(t) || Ip.matches(t) || HexId.matches(t) || t.exists(_.isDigit)
   }
-
-  /** Human-crafted regex masking (the costly expert step the paper wants
-    * to remove): variables → `<*>` before template mining.
-    */
-  def mask(tokens: Vector[String]): Vector[String] =
-    tokens.map(t => if (looksVariable(t)) "<*>" else t)
 }

@@ -68,6 +68,21 @@ class MoniLogSpec extends SparkSpec {
     assert(m2.templates == models.templates)
   }
 
+  test("a normal session that pauses longer than the session gap is not flagged") {
+    // every 10th session waits 10 s after its third event, longer than the
+    // 5 s gap, so detection sees it as two windows; training must too
+    val shift = expr("lineId % 64 >= 3 AND (lineId div 64) % 10 = 0")
+    val paused = history.withColumn("ts",
+      when(shift, col("ts") + expr("INTERVAL 10 SECONDS")).otherwise(col("ts")))
+    val shifted = paused.where(shift).select("sessionId").distinct().as[String].collect().toSet
+    assert(shifted.nonEmpty)
+    val raws = paused.select($"ts", $"source", $"sessionId", $"message").as[RawLog]
+    val flagged = MoniLog.detectBatch(spark, raws, MoniLog.train(spark, paused)).collect()
+      .map(_.sessionId).toSet
+    val pausedFlagged = flagged.intersect(shifted).size
+    assert(pausedFlagged == 0, s"$pausedFlagged of ${shifted.size} paused sessions flagged")
+  }
+
   test("score helper computes the paper's metrics") {
     val prf = PRF(tp = 8, fp = 2, fn = 2, tn = 88)
     assert(math.abs(prf.precision - 0.8) < 1e-9)
