@@ -30,6 +30,8 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
 
   private val counts = mutable.Map.empty[List[Int], mutable.Map[Int, Long]]
   private val vocab  = mutable.Set.empty[Int]
+  /** each context's top-g next events, ranked by (-count, id); rebuilt by `fit` */
+  private var topSets = Map.empty[List[Int], Set[Int]]
 
   def vocabulary: Set[Int] = vocab.toSet
 
@@ -49,6 +51,9 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
         case _ => ()
       }
     }
+    topSets = counts.iterator.map { case (ctx, m) =>
+      ctx -> m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet
+    }.toMap
     this
   }
 
@@ -56,14 +61,20 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     * first. None when even the unigram context is unseen.
     */
   def predict(history: Seq[Int]): Option[Set[Int]] = {
-    val padded = (List.fill(h)(Start) ++ history).takeRight(h)
-    var order  = h
-    while (order >= 1) {
-      counts.get(padded.takeRight(order)) match {
-        case Some(m) =>
-          return Some(m.toSeq.sortBy { case (ev, c) => (-c, ev) }.take(topG).map(_._1).toSet)
-        case None => order -= 1
-      }
+    val ids = history.toIndexedSeq
+    topAt(ids, ids.length)
+  }
+
+  /** `predict(ids.take(end))`, reading only the `h` ids before `end`. */
+  private def topAt(ids: IndexedSeq[Int], end: Int): Option[Set[Int]] = {
+    var ctx: List[Int] = Nil
+    var j = end - 1
+    while (j >= end - h) { ctx = (if (j >= 0) ids(j) else Start) :: ctx; j -= 1 }
+    // backoff: each shorter context is a suffix of the longer one
+    while (ctx.nonEmpty) {
+      val top = topSets.get(ctx)
+      if (top.isDefined) return top
+      ctx = ctx.tail
     }
     None
   }
@@ -72,24 +83,17 @@ class NGramModel(val h: Int = 2, val topG: Int = 9,
     * outside the top-g prediction of their context. When `checkEnd`, a
     * sequence whose final context does not predict the End symbol gets
     * the extra index `seq.length` ("missing termination") — this is what
-    * catches premature-termination anomalies.
+    * catches premature-termination anomalies. A context never seen in
+    * normal data counts as a miss.
     */
   def anomalousEvents(seq: Seq[Int]): Seq[Int] = {
-    val events = seq.indices.filter { i =>
-      val ev = seq(i)
-      if (!vocab.contains(ev)) true
-      else predict(seq.take(i)) match {
-        case Some(top) => !top.contains(ev)
-        case None      => true // context never seen in normal data
-      }
+    val ids = seq.toIndexedSeq
+    val events = ids.indices.filter { i =>
+      !vocab.contains(ids(i)) || topAt(ids, i).forall(!_.contains(ids(i)))
     }
-    val endBad = checkEnd && seq.nonEmpty && seq.forall(vocab.contains) && {
-      predict(seq) match {
-        case Some(top) => !top.contains(End)
-        case None      => true
-      }
-    }
-    if (endBad) events :+ seq.length else events
+    val endBad = checkEnd && ids.nonEmpty && ids.forall(vocab.contains) &&
+      topAt(ids, ids.length).forall(!_.contains(End))
+    if (endBad) events :+ ids.length else events
   }
 
   def isAnomalous(seq: Seq[Int]): Boolean = anomalousEvents(seq).nonEmpty

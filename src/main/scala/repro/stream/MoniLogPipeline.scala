@@ -196,14 +196,33 @@ object MoniLogPipeline {
     classify(detect(sequence(parseStream(raw, models), gap, watermark), models),
              classifier)
 
-  /** Launch the streaming query into an in-memory sink (tests / demos). */
+  /** Launch the streaming query into an in-memory sink (tests / demos).
+    *
+    * The query's stateful `session_window` aggregation gets one state
+    * partition per core: it starts with `spark.sql.shuffle.partitions` set
+    * to `defaultParallelism`, and the caller's value (or its absence) is
+    * restored once `start()` returns. Structured Streaming has no adaptive
+    * execution to coalesce partitions, and each one loads and commits its
+    * own state store in every micro-batch. The query keeps the count it
+    * started with: its first micro-batch records it in the offset log, and
+    * a restart from a checkpoint reuses the recorded count. Batch runs
+    * (`sequence`, `MoniLog.detectBatch`, `MoniLog.train`) keep the caller's
+    * setting and rely on AQE to coalesce their shuffles.
+    */
   def runToMemory(raw: Dataset[RawLog], models: Broadcast[Models],
                   classifier: Broadcast[PoolClassifier], queryName: String,
                   gap: String = "5 seconds",
-                  watermark: String = "5 seconds"): StreamingQuery =
-    pipeline(raw, models, classifier, gap, watermark).writeStream
-      .format("memory")
-      .queryName(queryName)
-      .outputMode("append")
-      .start()
+                  watermark: String = "5 seconds"): StreamingQuery = {
+    val conf    = raw.sparkSession.conf
+    val key     = "spark.sql.shuffle.partitions"
+    val callers = conf.getAll.get(key)
+    conf.set(key, raw.sparkSession.sparkContext.defaultParallelism.toLong)
+    try
+      pipeline(raw, models, classifier, gap, watermark).writeStream
+        .format("memory")
+        .queryName(queryName)
+        .outputMode("append")
+        .start()
+    finally callers.fold(conf.unset(key))(conf.set(key, _))
+  }
 }

@@ -1,5 +1,6 @@
 package repro.parse
 
+import org.scalacheck.{Gen, Prop, Test => Check}
 import org.scalatest.funsuite.AnyFunSuite
 import scala.util.Random
 
@@ -75,6 +76,42 @@ class PreprocessSpec extends AnyFunSuite {
       val (core, payload) = Preprocess.extractStructured(s"""head tail {"$k": "$v"}""")
       assert(core == "head tail")
       assert(payload.isDefined)
+    }
+  }
+
+  /** The regex `extractStructured` used to run, kept as its reference. */
+  private val TrailingJson = """\s*(\{.*\})\s*$""".r
+
+  private def byRegex(message: String): (String, Option[String]) =
+    TrailingJson.findFirstMatchIn(message) match {
+      case Some(m) if m.start > 0 => (message.substring(0, m.start).trim, Some(m.group(1)))
+      case _                      => (message.trim, None)
+    }
+
+  private def agreesWithRegex(alphabet: Seq[Char]): Unit = {
+    val strings = Gen.choose(0, 40).flatMap(Gen.listOfN(_, Gen.oneOf(alphabet)).map(_.mkString))
+    val result = Check.check(Check.Parameters.default.withMinSuccessfulTests(5000),
+      Prop.forAll(strings)(m => Preprocess.extractStructured(m) == byRegex(m)))
+    assert(result.passed, result.status.toString)
+  }
+
+  test("extractStructured returns what the trailing-JSON regex returns") {
+    agreesWithRegex(Seq('{', '}', '"', ':', 'a', ' ', '\t', '\n'))
+  }
+
+  test("extractStructured agrees with the regex on every line terminator and space") {
+    agreesWithRegex(Seq('{', '}', 'a', ' ', '\n', '\r', '\u000B', '\f',
+                        '\u0085', '\u2028', '\u2029'))
+  }
+
+  test("extractStructured returns promptly on hostile lines") {
+    val hostile = Seq("{" * 65536, "x" + " " * 65536 + "y",
+                      "x " + "{" * 65536 + "}", "x" + " " * 65536 + "{}")
+    hostile.foreach { m =>
+      val t0 = System.nanoTime()
+      Preprocess.extractStructured(m)
+      val s = (System.nanoTime() - t0) / 1e9
+      assert(s < 1.0, f"${m.take(8)}… (${m.length} chars) took $s%.2f s")
     }
   }
 }

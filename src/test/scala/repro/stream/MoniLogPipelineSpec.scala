@@ -8,6 +8,7 @@ import repro.SparkSpec
 import repro.classify.PoolClassifier
 import repro.core.MoniLog
 import repro.detect.{NGramModel, QuantDetector, SemanticMatcher}
+import repro.logs.LogSynth
 import repro.parse.Drain
 import repro.stream.MoniLogPipeline._
 
@@ -149,5 +150,74 @@ class MoniLogPipelineSpec extends SparkSpec {
       assert(out.map(_.sessionId).toSeq == Seq("bad"))
       assert(out.head.kind == "sequential")
     } finally query.stop()
+  }
+
+  private val ShufflePartitions = "spark.sql.shuffle.partitions"
+
+  /** Run `body` with the session's shuffle-partition setting `value`
+    * (None: unset), restoring the previous setting afterwards.
+    */
+  private def withShufflePartitions[T](value: Option[String])(body: => T): T = {
+    val before = spark.conf.getAll.get(ShufflePartitions)
+    value.fold(spark.conf.unset(ShufflePartitions))(spark.conf.set(ShufflePartitions, _))
+    try body
+    finally before.fold(spark.conf.unset(ShufflePartitions))(spark.conf.set(ShufflePartitions, _))
+  }
+
+  private def startOn(mem: MemoryStream[RawLog], queryName: String, bundle: Models = models) =
+    MoniLogPipeline.runToMemory(
+      mem.toDS(), MoniLog.broadcastModels(spark, bundle),
+      MoniLog.broadcastClassifier(spark, new PoolClassifier()), queryName)
+
+  test("the streaming query keeps one state store per core and the caller's setting") {
+    implicit val sql = spark.sqlContext
+    withShufflePartitions(Some("64")) {
+      val mem   = MemoryStream[RawLog]
+      val query = startOn(mem, "monilog_partitions")
+      try {
+        mem.addData(raw(1, "ok", "task started on node n7"),
+                    raw(2, "ok", "task finished after 43 ms"))
+        query.processAllAvailable()
+        assert(query.lastProgress.stateOperators(0).numStateStoreInstances ==
+          spark.sparkContext.defaultParallelism)
+        assert(spark.conf.get(ShufflePartitions) == "64")
+      } finally query.stop()
+    }
+    withShufflePartitions(None) {
+      val query = startOn(MemoryStream[RawLog], "monilog_partitions_unset")
+      try assert(spark.conf.getAll.get(ShufflePartitions).isEmpty)
+      finally query.stop()
+    }
+  }
+
+  test("stream reports equal batch reports however the stream is split into micro-batches") {
+    implicit val sql = spark.sqlContext
+    val trained = MoniLog.train(spark,
+      LogSynth.cloud(spark, 600, anomalyRate = 0.0, seed = 60L, payloadProb = 0.3).toDF())
+    val corpus = LogSynth.cloud(spark, 300, anomalyRate = 0.2, seed = 61L, payloadProb = 0.3)
+      .select($"ts", $"source", $"sessionId", $"message").as[RawLog].collect()
+      .sortBy(_.ts.getTime) // in event-time order, so the watermark drops no row
+    val batch = MoniLog.detectBatch(spark, corpus.toSeq.toDS(), trained).collect().toSet
+    assert(batch.nonEmpty)
+
+    val lastTs = corpus.map(_.ts.getTime).max
+    val flush  = RawLog(new Timestamp(lastTs + 3600 * 1000L), "network", "flush", "flush")
+    Seq(1, 3, 17).foreach { k =>
+      val mem   = MemoryStream[RawLog](4)
+      val name  = s"monilog_batch_vs_stream_$k"
+      val query = startOn(mem, name, trained)
+      try {
+        corpus.grouped((corpus.length + k - 1) / k).foreach { chunk =>
+          mem.addData(chunk.toSeq)
+          query.processAllAvailable()
+        }
+        mem.addData(flush)
+        query.processAllAvailable()
+        val streamed = spark.table(name).as[AnomalyReport].collect()
+          .filterNot(_.sessionId == "flush")
+        assert(streamed.length == streamed.toSet.size, s"k=$k: duplicate reports")
+        assert(streamed.toSet == batch, s"k=$k")
+      } finally query.stop()
+    }
   }
 }
